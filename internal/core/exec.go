@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"strings"
 	"time"
 
 	"secyan/internal/gc"
@@ -242,6 +243,19 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Exec
 	}()
 
 	tr = &Trace{}
+	if plan.needOT != ([2]bool{}) {
+		if track != nil {
+			phaseSpan = track.Begin("phase", "setup")
+			curPhase = "setup"
+		}
+		setupSpan := track.Begin("step", "base-ot")
+		tr.Setup, err = ensureOT(ctx, pp, plan.needOT)
+		setupSpan.End()
+		if err != nil {
+			blame = "setup/base-ot"
+			return nil, nil, tr, err
+		}
+	}
 	for si := range plan.Steps {
 		st := &plan.Steps[si]
 		if shared && st.final {
@@ -332,6 +346,36 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Exec
 	return nil, out, tr, nil
 }
 
+// ensureOT makes the plan's OT-extension directions available on pp
+// before step 0 and returns the setup record: the base-OT traffic this
+// stream carried (its first use on a bare party; none on a session
+// stream, whose base OTs run once per session on reserved streams) and
+// the time spent, including any wait for a peer-triggered exchange.
+func ensureOT(ctx context.Context, pp *mpc.Party, need [2]bool) (*TraceStep, error) {
+	var who []string
+	for _, r := range []mpc.Role{mpc.Alice, mpc.Bob} {
+		if need[r] {
+			who = append(who, r.String()+" sends")
+		}
+	}
+	before := pp.Conn.Stats()
+	start := time.Now()
+	err := pp.EnsureOT(ctx, need)
+	after := pp.Conn.Stats()
+	rec := &TraceStep{Phase: "setup", Op: "base-ot", Node: strings.Join(who, ", "),
+		Bytes:    after.TotalBytes() - before.TotalBytes(),
+		Messages: (after.MessagesSent + after.MessagesRecv) - (before.MessagesSent + before.MessagesRecv),
+		Rounds:   after.Rounds - before.Rounds,
+		Elapsed:  time.Since(start)}
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			err = cerr
+		}
+		return rec, fmt.Errorf("setup/base-ot: %w", err)
+	}
+	return rec, nil
+}
+
 // flightRecord assembles the flight recorder's completed-query record
 // from the measured trace and the compiled plan.
 func flightRecord(p *mpc.Party, plan *Plan, tag obs.QueryTag, tr *Trace, rows int,
@@ -412,17 +456,6 @@ type executor struct {
 func (ex *executor) exec(st *PlanStep) error {
 	p := ex.p
 	switch st.kind {
-	case stepOTSetup:
-		// Both parties establish the direction eagerly and in plan order,
-		// so setup traffic lands on this step rather than inside whichever
-		// operator first needs it. A cache hit (composed queries reusing a
-		// party) costs nothing.
-		if p.Role == st.sender {
-			_, err := p.OTSender()
-			return err
-		}
-		_, err := p.OTReceiver()
-		return err
 	case stepShareInput, stepPlainInput:
 		in := ex.q.Inputs[st.node]
 		var sr *SharedRelation

@@ -12,9 +12,9 @@ import (
 // parameters alone.
 
 // Format renders the plan as a table, including the per-step phase
-// split the precomputed schedule would achieve (offline = base OTs and
-// OT-extension matrices, online = the remainder plus derandomization
-// bits; see PlanStep).
+// split the precomputed schedule would achieve (offline = OT-extension
+// matrices, online = the remainder plus derandomization bits; see
+// PlanStep). Base OTs are session setup, not plan steps.
 func (p *Plan) Format(w io.Writer) {
 	fmt.Fprintf(w, "root: %s; surviving nodes: %s; assumed OUT = %d\n",
 		p.Root, strings.Join(p.Remaining, ", "), p.EstOut)

@@ -28,8 +28,7 @@ import (
 type stepKind int
 
 const (
-	stepOTSetup stepKind = iota
-	stepShareInput
+	stepShareInput stepKind = iota
 	stepPlainInput
 	stepAggregate
 	stepProjectOne
@@ -66,7 +65,7 @@ type preCirc struct {
 
 // PlanStep is one operator invocation in the plan.
 type PlanStep struct {
-	Phase string // setup | input | reduce | aggregate | semijoin | join | reveal
+	Phase string // input | reduce | aggregate | semijoin | join | reveal
 	Op    string
 	Node  string // relation involved (or "→parent" notation)
 	N     int    // primary size
@@ -81,8 +80,8 @@ type PlanStep struct {
 	// no effect on the wire — chunking is transcript-invariant.
 	Chunks int
 	// EstOfflineBytes and EstOnlineBytes split the step's traffic under
-	// the precomputed schedule: offline moves the base OTs and the
-	// OT-extension correction matrices, online keeps everything else
+	// the precomputed schedule: offline moves the OT-extension
+	// correction matrices, online keeps everything else
 	// plus ⌈m/8⌉ derandomization bits per pooled batch (so the two may
 	// sum to slightly more than EstBytes). Without precomputation the
 	// whole step is online and EstBytes alone applies.
@@ -102,7 +101,6 @@ type PlanStep struct {
 	node        int             // primary node (input/aggregate/reveal steps)
 	parent      int             // semijoin-into target node
 	attrs       []relation.Attr // aggregation/projection attributes
-	sender      mpc.Role        // OT-setup direction: the role acting as OT sender
 	intoPending bool            // aggregate result feeds the next semijoin-into
 	final       bool            // reveal step skipped by RunShared
 
@@ -142,6 +140,10 @@ type Plan struct {
 	tree       *jointree.Tree
 	joinOrder  []int // sorted surviving nodes of the final join (nil when single)
 	singleNode int   // surviving node of the single-survivor shortcut, -1 otherwise
+	// needOT lists the OT-extension directions the steps use, indexed
+	// by the sending role. Their base OTs are session setup, not plan
+	// steps: the executor ensures them before step 0 (mpc.EnsureOT).
+	needOT [2]bool
 }
 
 // Digest is a stable 64-bit fingerprint of the plan's operator
@@ -278,7 +280,7 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, po PlanOptions) (*
 	var steps []PlanStep
 	add := func(s PlanStep) { steps = append(steps, s) }
 	// needOT tracks which OT-extension directions the plan uses, indexed
-	// by the sending role; matching setup steps are prepended at the end.
+	// by the sending role.
 	var needOT [2]bool
 
 	outSet := map[relation.Attr]bool{}
@@ -508,37 +510,24 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, po PlanOptions) (*
 	return plan.seal(steps, needOT), nil
 }
 
-// seal prepends the base-OT setup steps for every OT direction the plan
-// uses and totals the estimates. Setup is priced per direction; when a
-// composed query reuses a party's existing OT sessions the setup steps
-// execute as free cache hits.
+// seal installs the steps, records the OT directions they use and
+// totals the estimates.
 func (p *Plan) seal(steps []PlanStep, needOT [2]bool) *Plan {
-	var all []PlanStep
-	for _, r := range []mpc.Role{mpc.Alice, mpc.Bob} {
-		if needOT[r] {
-			all = append(all, PlanStep{Phase: "setup", Op: "base-ot", Node: r.String() + " sends",
-				EstBytes: ot.SetupCost(), kind: stepOTSetup, sender: r})
-		}
-	}
-	p.Steps = append(all, steps...)
+	p.Steps, p.needOT = steps, needOT
 	p.EstBytes = 0
 	for i := range p.Steps {
 		s := &p.Steps[i]
 		s.Chunks = relation.NumChunks(s.N, p.ChunkSize)
 		p.EstBytes += s.EstBytes
-		// Phase split: base OTs move entirely offline; for every other
-		// step, offline carries its OT batches' correction matrices and
-		// online keeps the remainder plus the derandomization bits.
-		if s.kind == stepOTSetup {
-			s.EstOfflineBytes = s.EstBytes
-		} else {
-			var saved int64
-			for _, d := range s.preOTs {
-				s.EstOfflineBytes += ot.ExtOfflineCost(d.m)
-				saved += ot.ExtCost(d.m, otMsgLen) - ot.ExtOnlineCost(d.m, otMsgLen)
-			}
-			s.EstOnlineBytes = s.EstBytes - saved
+		// Phase split: offline carries the step's OT batches' correction
+		// matrices, online keeps the remainder plus the derandomization
+		// bits.
+		var saved int64
+		for _, d := range s.preOTs {
+			s.EstOfflineBytes += ot.ExtOfflineCost(d.m)
+			saved += ot.ExtCost(d.m, otMsgLen) - ot.ExtOnlineCost(d.m, otMsgLen)
 		}
+		s.EstOnlineBytes = s.EstBytes - saved
 		p.EstOfflineBytes += s.EstOfflineBytes
 		p.EstOnlineBytes += s.EstOnlineBytes
 	}

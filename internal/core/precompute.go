@@ -41,14 +41,16 @@ type preparedCirc struct {
 	eval *gc.PreEval
 }
 
-// Precompute executes the offline phase of q's plan on party p: base-OT
-// setup, one random-OT pool fill per planned OT batch, and ahead-of-time
-// garbling of every planned circuit. Both parties must call it
+// Precompute executes the offline phase of q's plan on party p: the
+// session's base OTs if nobody has run them yet (the offline trace's
+// Setup record), one random-OT pool fill per planned OT batch, and
+// ahead-of-time garbling of every planned circuit. Both parties must call it
 // concurrently — the offline phase has its own traffic — and the next
 // protocol run on this party pair should execute the same query, which
 // then consumes the staged material transparently. It returns the
 // offline trace: one TraceStep (Phase "offline") per plan step that did
-// offline work, with EstBytes carrying the step's EstOfflineBytes.
+// offline work, with EstBytes carrying the step's EstOfflineBytes, plus
+// the Setup record.
 //
 // Staged material is single-use and plan-shaped. Running a different
 // query next is safe but wasteful: the first mismatching step drops the
@@ -105,6 +107,12 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, po PlanOptions)
 	}()
 
 	tr := &Trace{}
+	if plan.needOT != ([2]bool{}) {
+		if tr.Setup, err = ensureOT(ctx, pp, plan.needOT); err != nil {
+			<-done
+			return tr, err
+		}
+	}
 	for si := range plan.Steps {
 		st := &plan.Steps[si]
 		if cerr := ctx.Err(); cerr != nil {
@@ -113,7 +121,7 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, po PlanOptions)
 		}
 		// Steps without offline traffic of their own are skipped: their
 		// circuits (if any) are still staged by the background build.
-		work := st.kind == stepOTSetup
+		work := false
 		for _, d := range st.preOTs {
 			if d.m > 0 {
 				work = true
@@ -237,20 +245,11 @@ func (sc *StagedCircuits) Attach(p *mpc.Party) {
 	sc.prepared = nil
 }
 
-// ex1Offline performs one step's offline work: establishing the base-OT
-// session for setup steps, and one pool fill per declared OT batch
-// otherwise. Both parties walk identical plans, so the fills proceed in
-// lockstep (a fill is half a round: the receiver sends its correction
-// matrix, the sender only receives).
+// ex1Offline performs one step's offline work: one pool fill per
+// declared OT batch. Both parties walk identical plans, so the fills
+// proceed in lockstep (a fill is half a round: the receiver sends its
+// correction matrix, the sender only receives).
 func ex1Offline(pp *mpc.Party, st *PlanStep) error {
-	if st.kind == stepOTSetup {
-		if pp.Role == st.sender {
-			_, err := pp.OTSender()
-			return err
-		}
-		_, err := pp.OTReceiver()
-		return err
-	}
 	for _, d := range st.preOTs {
 		if d.m <= 0 {
 			continue

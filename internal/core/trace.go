@@ -19,6 +19,14 @@ type TraceStep = mpc.StepTrace
 // attempted) so far.
 type Trace struct {
 	Steps []TraceStep
+	// Setup, when the plan uses OT extension, records making its
+	// base OTs available before step 0 (Phase "setup", Op "base-ot").
+	// It sits outside Steps because base OTs belong to the session,
+	// not the plan: on a session stream it moves 0 bytes (the session
+	// runs them once, on reserved streams); on a bare party it carries
+	// the κ base OTs of each direction's first use. The totals below
+	// and the flight record cover Steps only, so they match the plan.
+	Setup *TraceStep
 }
 
 // TotalBytes sums the measured communication over all steps (both
@@ -63,11 +71,18 @@ func (t *Trace) PhaseStats() []obs.PhaseStat {
 
 // Format renders the trace as an EXPLAIN ANALYZE-style table: the plan
 // columns plus measured bytes, messages, rounds and wall time per step.
+// The setup record, if any, comes first; its estimate column reads
+// "session" and the totals leave it out.
 func (t *Trace) Format(w io.Writer) {
 	fmt.Fprintf(w, "%-10s %-20s %-28s %-8s %10s %14s %14s %6s %7s %12s\n",
 		"phase", "operator", "relation", "backend", "rows", "est. comm", "meas. comm", "msgs", "rounds", "time")
 	var est, meas, msgs int64
 	var elapsed time.Duration
+	if s := t.Setup; s != nil {
+		fmt.Fprintf(w, "%-10s %-20s %-28s %-8s %10s %14s %14s %6d %7d %12s\n",
+			s.Phase, s.Op, s.Node, "", "", "session", fmtBytes(s.Bytes),
+			s.Messages, s.Rounds, s.Elapsed.Round(time.Microsecond))
+	}
 	for _, s := range t.Steps {
 		est += s.EstBytes
 		meas += s.Bytes

@@ -162,9 +162,21 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// baseOTBatches reads the process-wide count of base-OT batches (one
+// per BaseSend/BaseRecv call).
+func baseOTBatches(t *testing.T) int64 {
+	t.Helper()
+	v, ok := obs.Default().Snapshot()["secyan_ot_base_ns"].(map[string]int64)
+	if !ok {
+		t.Fatal("secyan_ot_base_ns not registered")
+	}
+	return v["count"]
+}
+
 // TestDaemonTwoTenantsConcurrent runs two tenants' queries concurrently
 // over real TCP against one daemon and checks every result against the
-// plaintext engine.
+// plaintext engine. Each tenant session runs its base OTs once: one
+// batch per direction per endpoint, however many queries it carries.
 func TestDaemonTwoTenantsConcurrent(t *testing.T) {
 	q, rels := testQuery(7, 12, 20)
 	want := wantByClass(rels)
@@ -175,6 +187,7 @@ func TestDaemonTwoTenantsConcurrent(t *testing.T) {
 		DefaultQuota: &Quota{},
 		WarmAfter:    100, // farm out of the picture
 	})
+	batches0 := baseOTBatches(t)
 
 	const perTenant = 3
 	var wg sync.WaitGroup
@@ -210,21 +223,31 @@ func TestDaemonTwoTenantsConcurrent(t *testing.T) {
 		t.Error(err)
 	}
 
+	// A client holds its result before the daemon's half records the
+	// completion, so the last one may land a moment later.
+	completed := func() (n int64) {
+		for _, ts := range d.Snapshot().Tenants {
+			n += ts.Completed
+		}
+		return n
+	}
+	waitFor(t, "every completion recorded", func() bool { return completed() >= 2*perTenant })
 	snap := d.Snapshot()
 	if snap.Sessions != 2 {
 		t.Fatalf("sessions = %d, want 2", snap.Sessions)
 	}
-	var completed int64
-	for _, ts := range snap.Tenants {
-		completed += ts.Completed
-	}
-	if completed != 2*perTenant {
-		t.Fatalf("completed = %d, want %d", completed, 2*perTenant)
+	if n := completed(); n != 2*perTenant {
+		t.Fatalf("completed = %d, want %d", n, 2*perTenant)
 	}
 	for _, tenant := range []string{"acme", "globex"} {
 		if got := mQueries.Value(tenant, "completed"); got < perTenant {
 			t.Errorf("mQueries[%s,completed] = %d, want >= %d", tenant, got, perTenant)
 		}
+	}
+	// 2 sessions × 2 endpoints (daemon and client share this process)
+	// × 2 directions, for 2×perTenant queries.
+	if got := baseOTBatches(t) - batches0; got != 8 {
+		t.Errorf("base-OT batches = %d, want 8 (one per direction per endpoint per session)", got)
 	}
 }
 
@@ -491,7 +514,17 @@ func TestDaemonFarmInventoryHits(t *testing.T) {
 		t.Fatalf("farm hit rate = %v, want > 0", farm.HitRate)
 	}
 
-	// The same numbers serve over HTTP at /debug/tenants.
+	// The same numbers serve over HTTP at /debug/tenants, once the
+	// daemon's half of the last query has recorded its completion (the
+	// client may hold its result a moment before).
+	waitFor(t, "the third completion recorded", func() bool {
+		for _, ts := range d.Snapshot().Tenants {
+			if ts.Name == "acme" && ts.Completed >= 3 {
+				return true
+			}
+		}
+		return false
+	})
 	srv := httptest.NewServer(obs.DebugHandler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/debug/tenants")

@@ -1,13 +1,14 @@
 // Package mpc holds the per-party session context shared by every 2PC
 // protocol in this repository: the connection to the peer, the party's
 // role, the annotation ring, local randomness, and lazily established
-// OT-extension sessions in both directions.
+// OT-extension streams in both directions, derived from base OTs that
+// run once per Session (baseot.go).
 //
 // The convention throughout the repository follows the paper: the two
 // parties are Alice (role 0, the designated receiver of query results)
 // and Bob (role 1). Protocol functions take a *Party and are written so
 // that both parties call the same sequence of sub-protocols in the same
-// order, which keeps the lazily created OT sessions aligned.
+// order, which keeps the lazily created OT streams aligned.
 package mpc
 
 import (
@@ -75,7 +76,7 @@ type Party struct {
 	sess *session
 }
 
-// session is the context-independent part of a Party. The OT sessions
+// session is the context-independent part of a Party. The OT streams
 // are pinned to the raw conn (not a context wrapper) so their stream
 // positions stay aligned with the peer across composed runs; a
 // cancelled context still unblocks them because its watcher closes the
@@ -84,6 +85,8 @@ type Party struct {
 // visible to the RunContext that consumes it.
 type session struct {
 	raw    transport.Conn
+	base   *baseOTs     // the (possibly implicit) session's base OTs
+	stream uint32       // this party's stream id within that session
 	otSend *ot.Sender   // this party as OT sender
 	otRecv *ot.Receiver // this party as OT receiver
 
@@ -95,12 +98,19 @@ type session struct {
 	preEval []*gc.PreEval
 }
 
+// bareSession is the state of a party outside any Session: stream 0 of
+// an implicit session whose base OTs run inline on conn.
+func bareSession(role Role, conn transport.Conn) *session {
+	open := func(Role) (transport.Conn, error) { return conn, nil }
+	return &session{raw: conn, base: newBaseOTs(role, open, false)}
+}
+
 // NewParty creates a session context. Ring defaults to share.Default when
 // zero.
 func NewParty(role Role, conn transport.Conn, ring share.Ring) *Party {
 	ring = ring.OrDefault()
 	return &Party{Role: role, Conn: conn, Ring: ring, PRG: prf.NewPRG(prf.RandomSeed()),
-		sess: &session{raw: conn}}
+		sess: bareSession(role, conn)}
 }
 
 // WithContext returns a view of p whose conn operations fail once ctx
@@ -122,36 +132,37 @@ func (p *Party) WithContext(ctx context.Context) (*Party, func()) {
 // as struct literals rather than through NewParty.
 func (p *Party) state() *session {
 	if p.sess == nil {
-		p.sess = &session{raw: p.Conn}
+		p.sess = bareSession(p.Role, p.Conn)
 	}
 	return p.sess
 }
 
-// OTSender returns this party's sending OT-extension session, creating it
-// (together with its base OTs) on first use. The peer must call OTReceiver
-// at the matching point of the protocol.
+// OTSender returns this party's sending OT-extension stream, deriving it
+// from the session's base OTs on first use (and running those if nobody
+// has yet). The peer must call OTReceiver at the matching point of the
+// protocol.
 func (p *Party) OTSender() (*ot.Sender, error) {
 	st := p.state()
 	if st.otSend == nil {
-		s, err := ot.NewSender(st.raw)
+		d, err := st.base.wait(context.Background(), p.Role, st)
 		if err != nil {
-			return nil, fmt.Errorf("mpc: %v OT sender setup: %w", p.Role, err)
+			return nil, err
 		}
-		st.otSend = s
+		st.otSend = d.snd.Sender(st.raw, st.stream)
 	}
 	return st.otSend, nil
 }
 
-// OTReceiver returns this party's receiving OT-extension session, creating
-// it on first use.
+// OTReceiver returns this party's receiving OT-extension stream,
+// deriving it on first use.
 func (p *Party) OTReceiver() (*ot.Receiver, error) {
 	st := p.state()
 	if st.otRecv == nil {
-		r, err := ot.NewReceiver(st.raw)
+		d, err := st.base.wait(context.Background(), p.Role.Other(), st)
 		if err != nil {
-			return nil, fmt.Errorf("mpc: %v OT receiver setup: %w", p.Role, err)
+			return nil, err
 		}
-		st.otRecv = r
+		st.otRecv = d.rcv.Receiver(st.raw, st.stream)
 	}
 	return st.otRecv, nil
 }

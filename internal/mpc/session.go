@@ -2,11 +2,14 @@ package mpc
 
 // Session multiplexes independent protocol executions over one
 // connection: each logical stream gets its own Party (own OT-extension
-// state, own PRG, own precomputed-circuit queues), so N queries — or a
+// stream, own PRG, own precomputed-circuit queues), so N queries — or a
 // background Precompute filling pools while online queries run — share
-// a single authenticated transport without sharing any cryptographic
-// state. Stream pairing follows the same convention as query
-// descriptions: the two endpoints open matching stream ids for the
+// a single authenticated transport. The only cryptographic state they
+// share is the session's base OTs, run once per direction on first use
+// over reserved streams (baseot.go); each stream derives independent
+// IKNP state from them by its stream id. Stream pairing follows the
+// same convention as query descriptions: the two endpoints open
+// matching stream ids for the
 // runs they want paired (NextParty hands out sequential ids for
 // symmetric call orders; PartyOn takes an explicit id when concurrent
 // heterogeneous runs need deterministic pairing).
@@ -49,13 +52,14 @@ type Session struct {
 	mux  *transport.Mux
 	cfg  SessionConfig
 	next atomic.Uint32
+	base *baseOTs
 }
 
 // NewSession starts a multiplexed protocol session over conn. The
 // session owns conn. Both endpoints must use compatible configs (the
 // queue capacity is the flow-control window).
 func NewSession(role Role, conn transport.Conn, ring share.Ring, cfg SessionConfig) *Session {
-	return &Session{
+	s := &Session{
 		role: role,
 		ring: ring.OrDefault(),
 		mux: transport.NewMux(conn, transport.MuxConfig{
@@ -67,6 +71,12 @@ func NewSession(role Role, conn transport.Conn, ring share.Ring, cfg SessionConf
 		}),
 		cfg: cfg,
 	}
+	// The base-OT streams live as long as the session: no stream
+	// deadline and no WrapStream hook, which are per-query concerns.
+	s.base = newBaseOTs(role, func(sender Role) (transport.Conn, error) {
+		return s.mux.OpenStream(baseOTStream(sender), transport.StreamOptions{})
+	}, true)
+	return s
 }
 
 // SessionPair returns two connected in-memory sessions, for tests and
@@ -93,8 +103,13 @@ type PartyOpts struct {
 // daemon's admission/control channel riding the same session as its
 // query streams. The peer must open the same id. The stream follows the
 // session's deadline fallback and WrapStream hook exactly like a
-// protocol stream; closing it releases only this stream.
+// protocol stream; closing it releases only this stream. The base-OT
+// ids BaseOTStreamAlice and BaseOTStreamBob are refused with
+// ErrReservedStream.
 func (s *Session) OpenStream(id uint32, opts PartyOpts) (transport.Conn, error) {
+	if id == BaseOTStreamAlice || id == BaseOTStreamBob {
+		return nil, &transport.StreamError{Stream: id, Err: ErrReservedStream}
+	}
 	dl := opts.Deadline
 	if dl == 0 {
 		dl = s.cfg.StreamDeadline
@@ -110,15 +125,17 @@ func (s *Session) OpenStream(id uint32, opts PartyOpts) (transport.Conn, error) 
 }
 
 // PartyOn opens stream id and returns a Party bound to it. The peer
-// must call PartyOn with the same id for the paired run. Closing the
-// party's Conn releases only this stream; the session and its other
-// streams are unaffected.
+// must call PartyOn with the same id for the paired run. The party's
+// OT-extension streams derive from the session's base OTs under id.
+// Closing the party's Conn releases only this stream; the session and
+// its other streams are unaffected.
 func (s *Session) PartyOn(id uint32, opts PartyOpts) (*Party, error) {
 	c, err := s.OpenStream(id, opts)
 	if err != nil {
 		return nil, err
 	}
 	p := NewParty(s.role, c, s.ring)
+	p.sess = &session{raw: c, base: s.base, stream: id}
 	p.Tag.SID = s.cfg.SID
 	return p, nil
 }

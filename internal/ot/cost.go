@@ -8,12 +8,13 @@ import "secyan/internal/prf"
 // real Sender/Receiver pair puts on a transport.Conn.
 
 // SetupCost returns the total bytes (both directions) exchanged by the
-// base OTs that bootstrap one OT-extension session, i.e. one
-// NewSender/NewReceiver pair:
+// base OTs that bootstrap one OT-extension direction, i.e. one
+// SetupSender/SetupReceiver pair (a session runs one per direction, a
+// bare NewSender/NewReceiver pair one of its own):
 //
-//	NewReceiver runs BaseSend:  cMsg (one group element) + κ records of
-//	                            (group element + two encrypted seeds)
-//	NewSender runs BaseRecv:    κ public keys (group elements)
+//	SetupReceiver runs BaseSend:  cMsg (one group element) + κ records
+//	                              of (group element + two encrypted seeds)
+//	SetupSender runs BaseRecv:    κ public keys (group elements)
 func SetupCost() int64 {
 	rec := groupElementLen + 2*prf.SeedSize
 	return int64(groupElementLen) + int64(kappa)*int64(rec) + int64(kappa)*int64(groupElementLen)

@@ -22,31 +22,49 @@ func otRate(m int, d time.Duration) int64 {
 	return int64(float64(m) / d.Seconds())
 }
 
-// Sender is the message-sending endpoint of an IKNP OT-extension session.
-// After a one-time Setup (κ base OTs in the reverse direction), every call
-// to Send transfers an arbitrary batch of message pairs using only
-// symmetric cryptography, in a single round trip.
+// Sender is the message-sending endpoint of an IKNP OT-extension stream.
+// Its κ base OTs (run in the reverse direction) come from a SenderBase,
+// which any number of streams share; every call to Send then transfers
+// an arbitrary batch of message pairs using only symmetric
+// cryptography, in a single round trip.
 type Sender struct {
 	conn    transport.Conn
-	s       *bitutil.Vector // the κ secret selection bits
+	s       *bitutil.Vector // the κ secret selection bits (shared, read-only)
 	sRow    [kappa / 8]byte // s packed, XORed into q-rows for pad 1
-	streams []*prf.PRG      // PRG(k_i^{s_i}), one per column
-	idx     uint64          // global OT counter, for hash tweak freshness
+	streams []*prf.PRG      // PRG(k_i^{s_i}, stream), one per column
+	stream  uint32          // stream id, selecting the PRG nonce and tweak range
+	idx     uint64          // next OT instance tweak (see reserveTweaks)
 	pool    Pool            // precomputed random-OT batches (random.go)
 }
 
-// Receiver is the choosing endpoint of an IKNP OT-extension session.
+// Receiver is the choosing endpoint of an IKNP OT-extension stream.
 type Receiver struct {
 	conn     transport.Conn
 	streams0 []*prf.PRG
 	streams1 []*prf.PRG
+	stream   uint32
 	idx      uint64
 	pool     Pool
 }
 
-// NewSender runs the base-OT setup (acting as base-OT *receiver* with κ
-// random choice bits) and returns a ready extension sender.
-func NewSender(conn transport.Conn) (*Sender, error) {
+// SenderBase is the extension sender's result of one direction's κ base
+// OTs: the secret selection bits s and the seeds k_i^{s_i} chosen by
+// them. It is immutable, so streams derive their Senders from it
+// concurrently (see DESIGN.md §15, "Base OTs per session").
+type SenderBase struct {
+	s     *bitutil.Vector
+	seeds []prf.Seed
+}
+
+// ReceiverBase is the extension receiver's side of one direction's κ
+// base OTs: the seed pairs (k_i^0, k_i^1) it offered. Immutable.
+type ReceiverBase struct {
+	pairs [][2]prf.Seed
+}
+
+// SetupSender runs the κ base OTs as the base-OT *receiver*, with κ
+// random choice bits, and returns the extension sender's base.
+func SetupSender(conn transport.Conn) (*SenderBase, error) {
 	g := prf.NewPRG(prf.RandomSeed())
 	choices := make([]bool, kappa)
 	s := bitutil.NewVector(kappa)
@@ -58,39 +76,110 @@ func NewSender(conn transport.Conn) (*Sender, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ot: sender setup: %w", err)
 	}
-	snd := &Sender{conn: conn, s: s}
-	copy(snd.sRow[:], s.Bytes())
-	snd.streams = make([]*prf.PRG, kappa)
-	for i, sd := range seeds {
-		snd.streams[i] = prf.NewPRG(sd)
-	}
-	return snd, nil
+	return &SenderBase{s: s, seeds: seeds}, nil
 }
 
-// NewReceiver runs the base-OT setup (acting as base-OT *sender* with κ
-// random seed pairs) and returns a ready extension receiver.
-func NewReceiver(conn transport.Conn) (*Receiver, error) {
+// SetupReceiver runs the κ base OTs as the base-OT *sender*, offering κ
+// random seed pairs, and returns the extension receiver's base.
+func SetupReceiver(conn transport.Conn) (*ReceiverBase, error) {
 	pairs := make([][2]prf.Seed, kappa)
-	r := &Receiver{conn: conn}
-	r.streams0 = make([]*prf.PRG, kappa)
-	r.streams1 = make([]*prf.PRG, kappa)
 	for i := range pairs {
 		pairs[i][0] = prf.RandomSeed()
 		pairs[i][1] = prf.RandomSeed()
-		r.streams0[i] = prf.NewPRG(pairs[i][0])
-		r.streams1[i] = prf.NewPRG(pairs[i][1])
 	}
-	if err := BaseSend(r.conn, pairs); err != nil {
+	if err := BaseSend(conn, pairs); err != nil {
 		return nil, fmt.Errorf("ot: receiver setup: %w", err)
 	}
-	return r, nil
+	return &ReceiverBase{pairs: pairs}, nil
+}
+
+// Sender returns the extension sender of stream id over conn. Its column
+// PRGs are the base seeds' stream-id nonce streams and its OT counter
+// starts at id·StreamBudget, so two streams of one base never share a
+// PRG stream or a hash tweak. The peer derives the matching Receiver
+// with the same id.
+func (b *SenderBase) Sender(conn transport.Conn, id uint32) *Sender {
+	snd := &Sender{conn: conn, s: b.s, stream: id, idx: uint64(id) * StreamBudget}
+	copy(snd.sRow[:], b.s.Bytes())
+	snd.streams = make([]*prf.PRG, kappa)
+	for i, sd := range b.seeds {
+		snd.streams[i] = prf.NewPRGNonce(sd, id)
+	}
+	return snd
+}
+
+// Receiver returns the extension receiver of stream id over conn; see
+// SenderBase.Sender.
+func (b *ReceiverBase) Receiver(conn transport.Conn, id uint32) *Receiver {
+	r := &Receiver{conn: conn, stream: id, idx: uint64(id) * StreamBudget}
+	r.streams0 = make([]*prf.PRG, kappa)
+	r.streams1 = make([]*prf.PRG, kappa)
+	for i, pr := range b.pairs {
+		r.streams0[i] = prf.NewPRGNonce(pr[0], id)
+		r.streams1[i] = prf.NewPRGNonce(pr[1], id)
+	}
+	return r
+}
+
+// NewSender runs the base OTs over conn and returns stream 0's extension
+// sender: a one-stream session of its own.
+func NewSender(conn transport.Conn) (*Sender, error) {
+	b, err := SetupSender(conn)
+	if err != nil {
+		return nil, err
+	}
+	return b.Sender(conn, 0), nil
+}
+
+// NewReceiver runs the base OTs over conn and returns stream 0's
+// extension receiver.
+func NewReceiver(conn transport.Conn) (*Receiver, error) {
+	b, err := SetupReceiver(conn)
+	if err != nil {
+		return nil, err
+	}
+	return b.Receiver(conn, 0), nil
+}
+
+// StreamBudget is the number of OT instances one stream's Sender or
+// Receiver may run, counting every batch padded to a multiple of 64.
+// Stream id owns the counter range [id·StreamBudget, (id+1)·StreamBudget),
+// so with 32-bit ids every (stream, instance) tweak is unique within the
+// 62 bits prf.SiteOT leaves free.
+const StreamBudget = 1 << 30
+
+// BudgetError reports an OT batch that would run a stream past
+// StreamBudget. It is returned before the batch touches the wire, on
+// both endpoints alike (they count the same batches), and the counter
+// never wraps into another stream's range or another tweak site.
+type BudgetError struct {
+	Stream uint32
+	Used   uint64 // instances already run on the stream
+	Want   int    // padded size of the refused batch
+}
+
+func (e *BudgetError) Error() string {
+	return fmt.Sprintf("ot: stream %d OT budget exhausted: %d of %d instances used, batch needs %d",
+		e.Stream, e.Used, uint64(StreamBudget), e.Want)
+}
+
+// reserveTweaks claims the next n instance tweaks of stream's counter
+// *next and returns the first.
+func reserveTweaks(next *uint64, stream uint32, n int) (uint64, error) {
+	used := *next - uint64(stream)*StreamBudget
+	if uint64(n) > StreamBudget-used {
+		return 0, &BudgetError{Stream: stream, Used: used, Want: n}
+	}
+	idx := *next
+	*next += uint64(n)
+	return idx, nil
 }
 
 // padBatch is the number of OT instances whose pads are hashed per
 // HashBlocks call in the batched break-correlation path.
 const padBatch = 64
 
-// otTweak maps the session-global OT instance counter into the OT
+// otTweak maps a stream's OT instance counter into the OT
 // extension's tweak domain of the fixed-key permutation (see the Site*
 // scheme in prf/fixedkey.go). The two pads of one instance — rows q_j
 // and q_j ⊕ s — share the tweak by design: that correlated pair is the
@@ -179,6 +268,10 @@ func (r *Receiver) receiveDirect(choices []bool, msgLen int) ([][]byte, error) {
 	defer sp.EndN(int64(m))
 	mPad := (m + 63) &^ 63
 	rowBytes := mPad / 8
+	idx, err := reserveTweaks(&r.idx, r.stream, mPad)
+	if err != nil {
+		return nil, err
+	}
 
 	// Choice bits as a padded bit vector (padding bits random: they
 	// correspond to discarded OT instances).
@@ -210,7 +303,7 @@ func (r *Receiver) receiveDirect(choices []bool, msgLen int) ([][]byte, error) {
 	out := make([][]byte, m)
 	outBack := make([]byte, m*msgLen)
 	parallel.For(m, 32, func(lo, hi int) {
-		hashRowPads(outBack, 1, tt, nil, r.idx, lo, hi, msgLen)
+		hashRowPads(outBack, 1, tt, nil, idx, lo, hi, msgLen)
 		for j := lo; j < hi; j++ {
 			msg := outBack[j*msgLen : (j+1)*msgLen]
 			c := ct[2*j*msgLen : (2*j+1)*msgLen]
@@ -221,7 +314,6 @@ func (r *Receiver) receiveDirect(choices []bool, msgLen int) ([][]byte, error) {
 			out[j] = msg
 		}
 	})
-	r.idx += uint64(mPad)
 	return out, nil
 }
 
@@ -287,6 +379,10 @@ func (s *Sender) sendDirect(pairs [][2][]byte, msgLen int) error {
 	defer sp.EndN(int64(m))
 	mPad := (m + 63) &^ 63
 	rowBytes := mPad / 8
+	idx, err := reserveTweaks(&s.idx, s.stream, mPad)
+	if err != nil {
+		return err
+	}
 
 	qt, err := s.expandColumns(mPad, rowBytes)
 	if err != nil {
@@ -299,8 +395,8 @@ func (s *Sender) sendDirect(pairs [][2][]byte, msgLen int) error {
 	// into the ciphertext buffer, so no per-instance allocation.
 	ct := make([]byte, 2*m*msgLen)
 	parallel.For(m, 32, func(lo, hi int) {
-		hashRowPads(ct, 2, qt, nil, s.idx, lo, hi, msgLen)
-		hashRowPads(ct[msgLen:], 2, qt, &s.sRow, s.idx, lo, hi, msgLen)
+		hashRowPads(ct, 2, qt, nil, idx, lo, hi, msgLen)
+		hashRowPads(ct[msgLen:], 2, qt, &s.sRow, idx, lo, hi, msgLen)
 		for j := lo; j < hi; j++ {
 			c0 := ct[2*j*msgLen : (2*j+1)*msgLen]
 			c1 := ct[(2*j+1)*msgLen : (2*j+2)*msgLen]
@@ -308,7 +404,6 @@ func (s *Sender) sendDirect(pairs [][2][]byte, msgLen int) error {
 			prf.XORBytes(c1, c1, pairs[j][1])
 		}
 	})
-	s.idx += uint64(mPad)
 	return s.conn.Send(ct)
 }
 

@@ -122,6 +122,10 @@ func (s *Sender) FillRandom(m, msgLen int) error {
 	defer sp.EndN(int64(m))
 	mPad := (m + 63) &^ 63
 	rowBytes := mPad / 8
+	idx, err := reserveTweaks(&s.idx, s.stream, mPad)
+	if err != nil {
+		return err
+	}
 	qt, err := s.expandColumns(mPad, rowBytes)
 	if err != nil {
 		return err
@@ -129,10 +133,9 @@ func (s *Sender) FillRandom(m, msgLen int) error {
 	r0 := make([]byte, m*msgLen)
 	r1 := make([]byte, m*msgLen)
 	parallel.For(m, 32, func(lo, hi int) {
-		hashRowPads(r0, 1, qt, nil, s.idx, lo, hi, msgLen)
-		hashRowPads(r1, 1, qt, &s.sRow, s.idx, lo, hi, msgLen)
+		hashRowPads(r0, 1, qt, nil, idx, lo, hi, msgLen)
+		hashRowPads(r1, 1, qt, &s.sRow, idx, lo, hi, msgLen)
 	})
-	s.idx += uint64(mPad)
 	s.pool.push(&randBatch{m: m, msgLen: msgLen, r0: r0, r1: r1})
 	return nil
 }
@@ -150,6 +153,10 @@ func (r *Receiver) FillRandom(m, msgLen int) error {
 	defer sp.EndN(int64(m))
 	mPad := (m + 63) &^ 63
 	rowBytes := mPad / 8
+	idx, err := reserveTweaks(&r.idx, r.stream, mPad)
+	if err != nil {
+		return err
+	}
 
 	g := prf.NewPRG(prf.RandomSeed())
 	rv := bitutil.NewVector(mPad)
@@ -167,9 +174,8 @@ func (r *Receiver) FillRandom(m, msgLen int) error {
 	}
 	rc := make([]byte, m*msgLen)
 	parallel.For(m, 32, func(lo, hi int) {
-		hashRowPads(rc, 1, tt, nil, r.idx, lo, hi, msgLen)
+		hashRowPads(rc, 1, tt, nil, idx, lo, hi, msgLen)
 	})
-	r.idx += uint64(mPad)
 	r.pool.push(&randBatch{m: m, msgLen: msgLen, bits: bits, rc: rc})
 	return nil
 }

@@ -49,12 +49,21 @@ type PRG struct {
 }
 
 // NewPRG returns a generator producing the stream determined by seed.
-func NewPRG(seed Seed) *PRG {
+// It is NewPRGNonce(seed, 0).
+func NewPRG(seed Seed) *PRG { return NewPRGNonce(seed, 0) }
+
+// NewPRGNonce returns the generator of seed's stream number nonce: the
+// nonce fills the top 32 bits of the AES-CTR counter block, so distinct
+// nonces under one seed walk disjoint counter ranges (each 2^96 blocks
+// long) of the same keyed permutation and yield computationally
+// independent streams. Nonce 0 is NewPRG's stream.
+func NewPRGNonce(seed Seed, nonce uint32) *PRG {
 	block, err := aes.NewCipher(seed[:])
 	if err != nil {
 		panic("prf: aes.NewCipher: " + err.Error())
 	}
 	var iv [aes.BlockSize]byte
+	binary.BigEndian.PutUint32(iv[:4], nonce)
 	return &PRG{stream: cipher.NewCTR(block, iv[:])}
 }
 

@@ -346,7 +346,7 @@ func (m *Mux) fail(err error) {
 func (m *Mux) streamLocked(id uint32) *muxStream {
 	s := m.streams[id]
 	if s == nil {
-		s = &muxStream{id: id, m: m, credit: m.cfg.QueueCap}
+		s = &muxStream{id: id, m: m, credit: m.cfg.QueueCap, gone: make(chan struct{})}
 		s.cond = sync.NewCond(&s.mu)
 		m.streams[id] = s
 	}
@@ -495,6 +495,9 @@ type muxStream struct {
 
 	deadlineTimer *time.Timer
 
+	gone     chan struct{} // closed by the first of fail, local or peer close
+	goneOnce sync.Once
+
 	stats    Stats
 	lastRecv bool
 	started  bool
@@ -525,6 +528,25 @@ func (s *muxStream) peerClose() {
 	s.peerClosed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	s.markGone()
+}
+
+func (s *muxStream) markGone() { s.goneOnce.Do(func() { close(s.gone) }) }
+
+// Gone returns a channel closed once the stream has failed or either
+// half has closed it, and a function reporting why (the stream-labeled
+// failure, else ErrClosed). A party waiting on something other than
+// this stream's messages — a session's base OTs — uses it to notice a
+// peer that left. Messages already queued stay readable.
+func (s *muxStream) Gone() (<-chan struct{}, func() error) {
+	return s.gone, func() error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.failErr != nil {
+			return s.labeled(s.failErr)
+		}
+		return s.labeled(ErrClosed)
+	}
 }
 
 // addCredit returns flow-control window to the sender side.
@@ -550,6 +572,7 @@ func (s *muxStream) fail(err error) {
 	if already {
 		return
 	}
+	s.markGone()
 	mMuxStreamsFailed.Inc()
 	if lg := obs.Events(); lg.On() {
 		lg.Emit("stream.fail", obs.QueryTag{SID: s.m.cfg.SID},
@@ -570,6 +593,7 @@ func (s *muxStream) markClosed() {
 	s.localClosed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	s.markGone()
 	if !was {
 		mMuxOpenStreams.Add(-1)
 	}

@@ -164,11 +164,17 @@ func TestChromeTraceMatchesTrace(t *testing.T) {
 			}
 		}
 	}
-	if steps != len(a.tr.Steps) {
-		t.Fatalf("Alice's track has %d step spans, Trace has %d steps", steps, len(a.tr.Steps))
+	// The trace's records are its Steps plus, when the plan uses OT
+	// extension, the Setup record of its base OTs.
+	records := a.tr.Steps
+	if a.tr.Setup != nil {
+		records = append([]core.TraceStep{*a.tr.Setup}, records...)
+	}
+	if steps != len(records) {
+		t.Fatalf("Alice's track has %d step spans, Trace has %d records", steps, len(records))
 	}
 	var traceUs float64
-	for _, s := range a.tr.Steps {
+	for _, s := range records {
 		traceUs += float64(s.Elapsed) / float64(time.Microsecond)
 	}
 	diff := stepSumUs - traceUs

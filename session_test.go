@@ -114,9 +114,10 @@ func TestSessionConcurrentRuns(t *testing.T) {
 			t.Fatalf("run %d: %v want %v", i, got, wantSums)
 		}
 	}
+	// n query streams plus the session's two reserved base-OT streams.
 	st := alice.Stats()
-	if st.Streams != n || st.OpenStreams != 0 {
-		t.Fatalf("streams %d open %d; want %d and 0", st.Streams, st.OpenStreams, n)
+	if st.Streams != n+2 || st.OpenStreams != 0 {
+		t.Fatalf("streams %d open %d; want %d and 0", st.Streams, st.OpenStreams, n+2)
 	}
 	if st.Data.BytesSent == 0 || st.OverheadBytesSent == 0 {
 		t.Fatalf("stats rollup missing traffic: %+v", st)
@@ -179,9 +180,9 @@ func TestSessionPrecomputeThenRun(t *testing.T) {
 	if got, w := sumByClass(res), sumByClass(want); !reflect.DeepEqual(got, w) {
 		t.Fatalf("staged result %v want %v", got, w)
 	}
-	// The staged stream was consumed: both endpoints opened exactly two
-	// streams (precompute + nothing new for the run).
-	if st := alice.Stats(); st.Streams != 1 {
+	// The staged stream was consumed: the run opened no stream beyond
+	// the precompute's and the session's two reserved base-OT streams.
+	if st := alice.Stats(); st.Streams != 1+2 {
 		t.Fatalf("run after precompute opened a fresh stream: %d streams", st.Streams)
 	}
 }
